@@ -53,10 +53,13 @@ bench:
 # bench/BENCH_<date>.json and compares against the newest earlier baseline.
 # The bitarb micro-benchmarks (bit-parallel arbitration kernels vs their
 # branchy references) run alongside and land in bench/BITARB_bench.txt so CI
-# can archive kernel-level numbers next to the whole-engine ones.
+# can archive kernel-level numbers next to the whole-engine ones; the routing
+# micro-benchmarks (per-query routing-table cost at 8x8 and 64x64) land in
+# bench/ROUTING_bench.txt.
 bench-smoke:
 	$(GO) run ./cmd/dxbar-bench -quick -out bench -suffix _ci
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/bitarb | tee bench/BITARB_bench.txt
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/routing | tee bench/ROUTING_bench.txt
 
 # Chronological trend tables over the committed bench history: every
 # BENCH_*.json and SCALE_*.json under bench/, date-sorted, as markdown on

@@ -82,7 +82,8 @@ type Config struct {
 	// Routing is "DOR" or "WF" (default "DOR"). Ignored by SCARAB, which
 	// is inherently minimal-adaptive.
 	Routing string
-	// Width and Height give the mesh dimensions (default 8×8).
+	// Width and Height give the mesh dimensions (default 8×8 when both
+	// are zero; setting only one is an error).
 	Width, Height int
 	// Pattern is one of the nine synthetic patterns (default "UR").
 	Pattern string
@@ -308,11 +309,8 @@ func (c *Config) withDefaults() Config {
 	if cfg.Routing == "" {
 		cfg.Routing = "DOR"
 	}
-	if cfg.Width == 0 {
-		cfg.Width = 8
-	}
-	if cfg.Height == 0 {
-		cfg.Height = 8
+	if cfg.Width == 0 && cfg.Height == 0 {
+		cfg.Width, cfg.Height = 8, 8
 	}
 	if cfg.Pattern == "" {
 		cfg.Pattern = "UR"
@@ -510,6 +508,10 @@ type NetworkOptions struct {
 func prepare(o NetworkOptions) (sim.Config, sim.RouterFactory, *energy.Meter, error) {
 	if o.FairnessThreshold == 0 {
 		o.FairnessThreshold = core.FairnessThreshold
+	}
+	if o.FairnessThreshold < 0 || o.BufferDepth < 0 || o.CreditDelay < 0 {
+		return sim.Config{}, nil, nil, fmt.Errorf("dxbar: FairnessThreshold %d, BufferDepth %d and CreditDelay %d must not be negative",
+			o.FairnessThreshold, o.BufferDepth, o.CreditDelay)
 	}
 	if o.Routing == "" {
 		o.Routing = "DOR"

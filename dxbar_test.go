@@ -1,6 +1,7 @@
 package dxbar
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -219,5 +220,41 @@ func TestAFCDesignThroughFacade(t *testing.T) {
 	// High load: buffered behaviour (most flits buffered).
 	if hi.BufferingProbability < 0.5 {
 		t.Errorf("AFC at high load should run buffered (buffering prob %.3f)", hi.BufferingProbability)
+	}
+}
+
+// Out-of-range knobs must come back as errors from Run — never a panic,
+// never a silent reinterpretation.
+func TestConfigRejectsInvalidKnobs(t *testing.T) {
+	base := Config{Design: DesignDXbar, Load: 0.1, WarmupCycles: 10, MeasureCycles: 10}
+	cases := []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"negative BufferDepth", func(c *Config) { c.BufferDepth = -2 }},
+		{"negative CreditDelay", func(c *Config) { c.CreditDelay = -5 }},
+		{"negative FaultFraction", func(c *Config) { c.FaultFraction = -1 }},
+		{"NaN FaultFraction", func(c *Config) { c.FaultFraction = math.NaN() }},
+		{"FaultFraction above 1", func(c *Config) { c.FaultFraction = 2 }},
+		{"only Height set", func(c *Config) { c.Height = 5 }},
+		{"only Width set", func(c *Config) { c.Width = 5 }},
+		{"negative FairnessThreshold", func(c *Config) { c.FairnessThreshold = -1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := base
+			tc.edit(&c)
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Run panicked: %v", r)
+				}
+			}()
+			if _, err := Run(c); err == nil {
+				t.Fatalf("Run(%+v) returned no error", c)
+			}
+		})
+	}
+	if _, err := RunSplash(SplashConfig{Design: DesignDXbar, Benchmark: SplashBenchmarks()[0], Height: 5, MaxCycles: 10}); err == nil {
+		t.Error("RunSplash with only Height set returned no error")
 	}
 }

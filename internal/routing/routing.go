@@ -133,35 +133,12 @@ func (WestFirst) Adaptive() bool { return true }
 // with the larger remaining offset first, which spreads load without
 // violating minimality.
 func (WestFirst) Productive(m Mesh, at, dst int) PortList {
-	ax, ay := m.XY(at)
-	dx, dy := m.XY(dst)
-	if dx < ax {
+	ax, _ := m.XY(at)
+	if dx, _ := m.XY(dst); dx < ax {
 		return Ports(flit.West)
 	}
-	var ports PortList
-	xd, yd := dx-ax, abs(dy-ay)
-	var yPort flit.Port = flit.Invalid
-	if dy < ay {
-		yPort = flit.North
-	} else if dy > ay {
-		yPort = flit.South
-	}
-	if xd >= yd {
-		if xd > 0 {
-			ports.Add(flit.East)
-		}
-		if yPort != flit.Invalid {
-			ports.Add(yPort)
-		}
-	} else {
-		if yPort != flit.Invalid {
-			ports.Add(yPort)
-		}
-		if xd > 0 {
-			ports.Add(flit.East)
-		}
-	}
-	return ports
+	// With no westward offset left, the legal set is the minimal one.
+	return MinimalAdaptive{}.Productive(m, at, dst)
 }
 
 // Request is the look-ahead routing decision for a flit about to enter node

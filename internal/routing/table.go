@@ -33,32 +33,28 @@ func (MinimalAdaptive) Productive(m Mesh, at, dst int) PortList {
 	} else if dy < ay {
 		yPort = flit.North
 	}
-	xd, yd := abs(dx-ax), abs(dy-ay)
+	first, second := xPort, yPort
+	if abs(dx-ax) < abs(dy-ay) {
+		first, second = yPort, xPort
+	}
 	var ports PortList
-	if xd >= yd {
-		if xPort != flit.Invalid {
-			ports.Add(xPort)
-		}
-		if yPort != flit.Invalid {
-			ports.Add(yPort)
-		}
-	} else {
-		if yPort != flit.Invalid {
-			ports.Add(yPort)
-		}
-		if xPort != flit.Invalid {
-			ports.Add(xPort)
+	for _, p := range [2]flit.Port{first, second} {
+		if p != flit.Invalid {
+			ports.Add(p)
 		}
 	}
 	return ports
 }
 
-// Table is a routing algorithm precomputed over every (node, destination)
-// pair of one mesh: the data-oriented form of the Algorithm interface. The
-// productive set and the deflection order are packed into one uint16 each
-// (four 3-bit port entries plus a 3-bit length), so a routing query on the
-// cycle hot path is a single table load and a few shifts instead of
-// coordinate arithmetic behind an interface call.
+// Table is a routing algorithm compiled for one mesh: the data-oriented form
+// of the Algorithm interface. DOR, WF and MIN choose ports by the offset
+// class of the destination alone — sign(dx), sign(dy) and whether
+// |dx| >= |dy| (WF and MIN put the larger offset first) — so the table keeps
+// only each node's coordinates and port mask (O(N)), one packed productive
+// list per class and one packed deflection order per (port mask, class). A
+// list packs into a uint16: four 3-bit port entries plus a 3-bit length. A
+// routing query on the cycle hot path is two node loads, a few shifts and
+// one load from a class table (64 B productive, 1 KB deflection).
 //
 // A Table is itself an Algorithm (the mesh argument of the interface methods
 // is ignored — the table was built for one mesh), so it drops into every
@@ -66,9 +62,24 @@ func (MinimalAdaptive) Productive(m Mesh, at, dst int) PortList {
 // to share across all routers of a network and across shard workers.
 type Table struct {
 	algo  Algorithm
-	nodes int
-	prod  []uint16 // packed Productive, indexed at*nodes+dst
-	defl  []uint16 // packed DeflectionOrder
+	nodes []tableNode
+	masks []uint8                       // bit p set when the node has cardinal port p
+	prod  [numClasses]uint16            // by class; the empty list keeps Local in slot 0
+	defl  [numMasks * numClasses]uint16 // by mask<<5 | class
+}
+
+const numClasses, numMasks = 32, 1 << flit.NumLinkPorts
+
+type tableNode struct {
+	x, y uint32 // coordinates; differences wrap to two's complement
+}
+
+// class returns the 5-bit offset class of dst seen from at, branch-free from
+// sign bits: bit 0 dx<0, bit 1 dx>0, bit 2 dy<0, bit 3 dy>0, bit 4 |dx|<|dy|
+// (as dx² < dy², exact for coordinates below 46341).
+func class(at, dst tableNode) uint {
+	dx, dy := dst.x-at.x, dst.y-at.y
+	return uint(dx>>31 | -dx>>31<<1 | dy>>31<<2 | -dy>>31<<3 | (dx*dx-dy*dy)>>31<<4)
 }
 
 // packList packs a PortList into 16 bits: length in bits 12..14, entry i in
@@ -83,9 +94,7 @@ func packList(l PortList) uint16 {
 
 func unpackList(v uint16) PortList {
 	// Branch-free decode: mask the packed word down to its n live 3-bit
-	// fields first, then unpack all four slots unconditionally — dead slots
-	// decode from masked-off zero bits, reproducing the zero-initialized
-	// tail the loop version left behind.
+	// fields, then unpack all four slots; dead slots decode as zero.
 	var l PortList
 	n := int(v >> 12)
 	w := uint32(v) & (0xFFF >> uint(12-3*n))
@@ -97,8 +106,16 @@ func unpackList(v uint16) PortList {
 	return l
 }
 
-// NewTable precomputes algo over all nodes² pairs of m. If algo is already a
-// *Table it is returned as-is, so constructors may wrap unconditionally.
+// classMesh is a 5×5 mesh whose every node has the ports in the mask. Its
+// offsets from the centre node 12 cover every class with a representative.
+type classMesh uint8
+
+func (classMesh) XY(n int) (x, y int)               { return n % 5, n / 5 }
+func (m classMesh) HasPort(_ int, p flit.Port) bool { return m&(1<<p) != 0 }
+
+// NewTable compiles algo for the nodes of m by evaluating it once per class
+// (and port mask); algo must route by offset class alone. If algo is already
+// a *Table it is returned as-is, so constructors may wrap unconditionally.
 func NewTable(algo Algorithm, m Mesh, nodes int) *Table {
 	if t, ok := algo.(*Table); ok {
 		return t
@@ -106,17 +123,23 @@ func NewTable(algo Algorithm, m Mesh, nodes int) *Table {
 	if nodes <= 0 {
 		panic(fmt.Sprintf("routing: table needs a positive node count, got %d", nodes))
 	}
-	t := &Table{
-		algo:  algo,
-		nodes: nodes,
-		prod:  make([]uint16, nodes*nodes),
-		defl:  make([]uint16, nodes*nodes),
+	t := &Table{algo: algo, nodes: make([]tableNode, nodes), masks: make([]uint8, nodes)}
+	for n := range t.nodes {
+		x, y := m.XY(n)
+		t.nodes[n] = tableNode{x: uint32(x), y: uint32(y)}
+		for p := flit.North; p <= flit.West; p++ {
+			if m.HasPort(n, p) {
+				t.masks[n] |= 1 << p
+			}
+		}
 	}
-	for at := 0; at < nodes; at++ {
-		row := at * nodes
-		for dst := 0; dst < nodes; dst++ {
-			t.prod[row+dst] = packList(algo.Productive(m, at, dst))
-			t.defl[row+dst] = packList(DeflectionOrder(algo, m, at, dst))
+	for dst := 0; dst < 25; dst++ {
+		c := class(tableNode{x: 2, y: 2}, tableNode{x: uint32(dst % 5), y: uint32(dst / 5)})
+		if t.prod[c] = packList(algo.Productive(classMesh(0), 12, dst)); t.prod[c] == 0 {
+			t.prod[c] = uint16(flit.Local)
+		}
+		for mask := 0; mask < numMasks; mask++ {
+			t.defl[mask<<5|int(c)] = packList(DeflectionOrder(algo, classMesh(mask), 12, dst))
 		}
 	}
 	return t
@@ -129,32 +152,26 @@ func (t *Table) Name() string { return t.algo.Name() }
 func (t *Table) Adaptive() bool { return t.algo.Adaptive() }
 
 // Productive implements Algorithm; the mesh argument is ignored.
-func (t *Table) Productive(_ Mesh, at, dst int) PortList {
-	return unpackList(t.prod[at*t.nodes+dst])
-}
+func (t *Table) Productive(_ Mesh, at, dst int) PortList { return t.ProductiveAt(at, dst) }
 
 // ProductiveAt is the table-native productive query (no interface, no mesh).
 func (t *Table) ProductiveAt(at, dst int) PortList {
-	return unpackList(t.prod[at*t.nodes+dst])
+	return unpackList(t.prod[class(t.nodes[at], t.nodes[dst])%numClasses])
 }
 
 // RequestAt is the look-ahead routing decision at node `at`: the preferred
 // productive port, or Local when the flit has arrived.
 func (t *Table) RequestAt(at, dst int) flit.Port {
-	v := t.prod[at*t.nodes+dst]
-	if v>>12 == 0 {
-		return flit.Local
-	}
-	return flit.Port(v & 7)
+	return flit.Port(t.prod[class(t.nodes[at], t.nodes[dst])%numClasses] & 7)
 }
 
 // DeflectionAt is the table-native deflection-order query.
 func (t *Table) DeflectionAt(at, dst int) PortList {
-	return unpackList(t.defl[at*t.nodes+dst])
+	return unpackList(t.defl[(uint(t.masks[at])<<5|class(t.nodes[at], t.nodes[dst]))%(numMasks*numClasses)])
 }
 
 // ProductiveLenAt returns the size of the productive set without unpacking
 // the list (deflection routers compare a rank against it).
 func (t *Table) ProductiveLenAt(at, dst int) int {
-	return int(t.prod[at*t.nodes+dst] >> 12)
+	return int(t.prod[class(t.nodes[at], t.nodes[dst])%numClasses] >> 12)
 }

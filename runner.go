@@ -211,7 +211,7 @@ func (r *runner) runFrom(c Config, ck *Checkpoint, rewindWindow uint64) (Result,
 		return Result{}, err
 	}
 	var plan *faults.Plan
-	if cfg.FaultFraction > 0 {
+	if cfg.FaultFraction != 0 {
 		switch cfg.FaultGranularity {
 		case "", "crossbar":
 			plan, err = faults.NewPlan(mesh.Nodes(), cfg.FaultFraction, cfg.FaultCycle, cfg.Seed)
@@ -425,11 +425,8 @@ func (r *runner) runFrom(c Config, ck *Checkpoint, rewindWindow uint64) (Result,
 // splashDefaults applies SplashConfig's defaults (shared with the ledger's
 // key computation, which must hash the defaulted config).
 func splashDefaults(c SplashConfig) SplashConfig {
-	if c.Width == 0 {
-		c.Width = 8
-	}
-	if c.Height == 0 {
-		c.Height = 8
+	if c.Width == 0 && c.Height == 0 {
+		c.Width, c.Height = 8, 8
 	}
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 3_000_000

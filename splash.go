@@ -11,7 +11,8 @@ type SplashConfig struct {
 	Routing string
 	// Benchmark is one of the nine profile names (SplashBenchmarks).
 	Benchmark string
-	// Width and Height give the mesh dimensions (default 8×8).
+	// Width and Height give the mesh dimensions (default 8×8 when both
+	// are zero; setting only one is an error).
 	Width, Height int
 	// Seed drives the workload's deterministic randomness.
 	Seed int64

@@ -22,20 +22,9 @@ import (
 // Fig. 9/10 numbers; use traces for fast relative sweeps and regression
 // diffs.
 func RecordSplash(c SplashConfig, w io.Writer) error {
-	if c.Width == 0 {
-		c.Width = 8
-	}
-	if c.Height == 0 {
-		c.Height = 8
-	}
-	if c.MaxCycles == 0 {
-		c.MaxCycles = 3_000_000
-	}
+	c = splashDefaults(c)
 	if c.Design == "" {
 		c.Design = DesignDXbar
-	}
-	if c.Routing == "" {
-		c.Routing = "DOR"
 	}
 	mesh, err := topology.NewMesh(c.Width, c.Height)
 	if err != nil {
